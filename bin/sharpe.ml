@@ -251,19 +251,9 @@ let cache_stats =
            or into the JSON diagnostics array with $(b,--diagnostics json)).")
 
 let solver =
-  let methods =
-    [ ("auto", Linsolve.Auto);
-      ("gs", Linsolve.Gauss_seidel);
-      ("gauss-seidel", Linsolve.Gauss_seidel);
-      ("sor", Linsolve.Sor);
-      ("bicgstab", Linsolve.Bicgstab);
-      ("gmres", Linsolve.Gmres);
-      ("gth", Linsolve.Gth);
-      ("direct", Linsolve.Direct) ]
-  in
   Arg.(
     value
-    & opt (enum methods) Linsolve.Auto
+    & opt (enum Linsolve.methods) Linsolve.Auto
     & info [ "solver" ] ~docv:"METHOD"
         ~doc:
           "Force one linear/steady-state solver instead of the automatic \

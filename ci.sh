@@ -23,6 +23,18 @@ echo "== golden suite =="
 # a golden drift is reported even when someone trims the runtest alias
 dune exec test/test_main.exe -- test golden >/dev/null
 
+echo "== forced-direct golden pass =="
+# every example again under --solver direct: dense elimination for every
+# linear and steady-state solve is an independent oracle for the rungs
+# the automatic ladder picks (banded GTH, Gauss-Seidel, Krylov, direct)
+for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
+  golden="test/golden/$(basename "$f" .sharpe).out"
+  ./_build/default/bin/sharpe.exe --solver direct "$f" 2>/dev/null | cmp -s - "$golden" || {
+    echo "ci: $f under --solver direct differs from $golden" >&2
+    exit 1
+  }
+done
+
 echo "== bench smoke =="
 # quick pass over every experiment (timing suite skipped); the bench
 # binary itself exits nonzero when any solver emitted an error-severity

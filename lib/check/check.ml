@@ -91,7 +91,7 @@ let steady_comparisons ~what q =
        (fun i a -> { what = Printf.sprintf "%s[%d]" what i; a; b = direct.(i) })
        iterative)
 
-(* Gauss-Seidel/SOR steady state vs direct Gaussian elimination *)
+(* Gauss-Seidel steady state vs direct Gaussian elimination *)
 let check_steady r =
   let c = Gen.irreducible_ctmc r in
   steady_comparisons ~what:"pi" (Ctmc.generator c)

@@ -77,24 +77,16 @@ let with_method m f =
   Atomic.set method_ref m;
   Fun.protect ~finally:(fun () -> Atomic.set method_ref old) f
 
-let method_to_string = function
-  | Auto -> "auto"
-  | Gauss_seidel -> "gs"
-  | Sor -> "sor"
-  | Bicgstab -> "bicgstab"
-  | Gmres -> "gmres"
-  | Gth -> "gth"
-  | Direct -> "direct"
-
-let method_of_string = function
-  | "auto" -> Some Auto
-  | "gs" | "gauss-seidel" -> Some Gauss_seidel
-  | "sor" -> Some Sor
-  | "bicgstab" -> Some Bicgstab
-  | "gmres" -> Some Gmres
-  | "gth" -> Some Gth
-  | "direct" -> Some Direct
-  | _ -> None
+(* The [--solver] names, aliases included. *)
+let methods =
+  [ ("auto", Auto);
+    ("gs", Gauss_seidel);
+    ("gauss-seidel", Gauss_seidel);
+    ("sor", Sor);
+    ("bicgstab", Bicgstab);
+    ("gmres", Gmres);
+    ("gth", Gth);
+    ("direct", Direct) ]
 
 (* Size heuristic for the automatic chain: systems with at least this
    many unknowns skip the stationary sweeps (whose spectral gap closes
@@ -312,189 +304,237 @@ let krylov_run variant ?(tol = 1e-12) a b =
   in
   go 0 None ladder
 
-(* Robust Ax = b: Gauss-Seidel -> SOR with adaptive over-relaxation ->
-   direct Gaussian elimination, every hop recorded as a diagnostic and the
-   accepted iterate verified against the true residual ||Ax - b||_inf.
-   Systems at or above [krylov_threshold] unknowns try preconditioned
-   BiCGStab first; a forced method (see [set_method]) runs alone and
-   reports an error instead of silently escalating. *)
+(* --- the solver ladder ------------------------------------------------- *)
+
+(* What one rung returned: its iterate, and whether the method's own
+   stopping test held.  Acceptance is the driver's call. *)
+type attempt = {
+  x : float array;
+  solver : string;  (* the method, as named in its diagnostics *)
+  iterations : int option;  (* [None] for an elimination *)
+  converged : bool;
+  why : string option;  (* a method-specific failure reason *)
+  info : string option;  (* provenance recorded when the answer is accepted *)
+}
+
+(* [Direct] is the entry point's own elimination: it is always accepted,
+   with a warning when its residual fails verification. *)
+type rung = Rung of { name : string; attempt : unit -> attempt } | Direct
+
+(* What an entry point hands the driver. *)
+type problem = {
+  solver : string;  (* the entry point, as named on fallback and error records *)
+  n : int;
+  residual : float array -> float;  (* relative verification residual *)
+  verify_tol : float;
+  finish : float array -> float array;
+  direct_name : string;
+  direct : unit -> float array;
+}
+
+let reason a =
+  match a.why with
+  | Some w -> w
+  | None when a.converged -> "iterate stalled: post-solve residual verification failed"
+  | None -> "no convergence within iteration budget"
+
+(* Climb the ladder and return the first verified answer.  A [forced]
+   method is a ladder of exactly that rung: its failure is a single error,
+   and its own iterate comes back.  Otherwise the [auto] ladder runs: every
+   failed rung is a non-convergence record and every hop a fallback, and a
+   ladder that runs out (only above [direct_cap]) returns its best iterate
+   with an error. *)
+let drive (p : problem) ~forced ~auto =
+  let forced, ladder =
+    match forced with Some r -> (true, [ r ]) | None -> (false, auto ())
+  in
+  let best = ref None in
+  let rec go first = function
+    | [] -> (
+        match !best with
+        | None -> raise Singular
+        | Some (x, r) ->
+            Diag.emitf Diag.Error ~solver:p.solver ~residual:r ~tolerance:p.verify_tol
+              "system of size %d exceeds the direct-solve cap (%d); returning best \
+               unverified iterate"
+              p.n direct_cap;
+            p.finish x)
+    | rung :: rest -> (
+        if not first then
+          Diag.emitf Diag.Fallback ~solver:p.solver "escalating to %s"
+            (match rung with Rung r -> r.name | Direct -> p.direct_name);
+        match rung with
+        | Direct ->
+            let x = p.direct () in
+            let r = p.residual x in
+            if r > p.verify_tol then
+              Diag.emit Diag.Warning ~solver:p.solver ~residual:r ~tolerance:p.verify_tol
+                "direct-solve residual above verification tolerance";
+            p.finish x
+        | Rung { name; attempt } -> (
+            match attempt () with
+            | exception Singular ->
+                if forced then begin
+                  Diag.emitf Diag.Error ~solver:p.solver
+                    "%s hit a zero diagonal (no fallback under --solver)" name;
+                  raise Singular
+                end;
+                Diag.emitf Diag.Non_convergence ~solver:p.solver "%s hit a zero diagonal"
+                  name;
+                go false rest
+            | a ->
+                let r = p.residual a.x in
+                let record sev msg =
+                  Diag.emit sev ~solver:a.solver ?iterations:a.iterations ~residual:r
+                    ~tolerance:p.verify_tol msg
+                in
+                if a.converged && r <= p.verify_tol then begin
+                  (match (a.info, a.iterations) with
+                  | Some msg, Some _ -> record Diag.Info msg
+                  | Some msg, None -> Diag.emit Diag.Info ~solver:a.solver msg
+                  | None, _ -> ());
+                  p.finish a.x
+                end
+                else if forced then begin
+                  record Diag.Error (reason a ^ " (no fallback under --solver)");
+                  p.finish a.x
+                end
+                else begin
+                  record Diag.Non_convergence (reason a);
+                  (match !best with
+                  | Some (_, r0) when not (r < r0) -> ()
+                  | _ -> best := Some (a.x, r));
+                  go false rest
+                end))
+  in
+  go true ladder
+
+(* The forcings every entry point honours alike. *)
+let forced_common krylov = function
+  | Bicgstab -> Some (krylov `Bicgstab)
+  | Gmres -> Some (krylov `Gmres)
+  | Direct -> Some Direct
+  | Auto | Gauss_seidel | Sor | Gth -> None
+
+(* The automatic ladder around an entry point's stationary rung: Krylov
+   first at [krylov_threshold] unknowns and above; behind the stationary
+   rung, direct elimination up to [direct_cap], else BiCGStab while it has
+   not run yet. *)
+let auto_ladder n ~krylov stationary =
+  let bicgstab = krylov `Bicgstab in
+  (if n >= krylov_threshold then [ bicgstab; krylov `Gmres ] else [])
+  @ (stationary
+    :: (if n <= direct_cap then [ Direct ]
+        else if n < krylov_threshold then [ bicgstab ]
+        else []))
+
+(* Preconditioned Krylov on [system], the entry point's replaced-row
+   system, built on first use. *)
+let krylov_rung ~system ~tol ~note variant =
+  let name =
+    match variant with
+    | `Bicgstab -> "preconditioned BiCGStab"
+    | `Gmres -> "preconditioned GMRES"
+  in
+  Rung
+    { name;
+      attempt =
+        (fun () ->
+          let a, b = Lazy.force system in
+          let x, st, solver = krylov_run variant ~tol a b in
+          { x;
+            solver;
+            iterations = Some st.Krylov.iterations;
+            converged = st.Krylov.converged;
+            why = None;
+            info = Some note }) }
+
+(* An entry point's sweep operator: [max_iter] sweeps at [omega] from the
+   given start (or its default one), returning the iterate, its stats and
+   the observed contraction ratio. *)
+type sweeps =
+  max_iter:int -> omega:float -> float array option -> float array * iter_stats * float
+
+(* Forced SOR: a short Gauss-Seidel probe estimates the contraction ratio
+   that picks the over-relaxation factor; the over-relaxed run then gets a
+   bounded trial window and must beat the probe's step size, or the rest
+   of the budget runs at omega = 1.  Young's formula assumes a property-A
+   ordering and can oscillate without blowing up on a general sweep
+   operator, which would otherwise burn the whole [max_iter] budget
+   producing nothing. *)
+let staged_sor ~max_iter (sweeps : sweeps) =
+  let probe = max 10 (min 100 (max_iter / 10)) in
+  let x0, st0, rho = sweeps ~max_iter:probe ~omega:1.0 None in
+  let omega = adaptive_omega rho in
+  let trial = max 50 (min 1_000 (max_iter / 20)) in
+  let x1, st1, _ = sweeps ~max_iter:trial ~omega (Some x0) in
+  let x, st =
+    if st1.converged then (x1, st1)
+    else
+      let omega, x = if st1.residual < st0.residual then (omega, x1) else (1.0, x0) in
+      let x, st, _ = sweeps ~max_iter:(max_iter - trial) ~omega (Some x) in
+      (x, { st with iterations = trial + st.iterations })
+  in
+  (x, { st with iterations = probe + st.iterations })
+
+(* The Gauss-Seidel and forced-SOR rungs over an entry point's sweep
+   operator, named [prefix ^ "gauss_seidel"] and [prefix ^ "sor"]. *)
+let sweep_rungs ~prefix ~max_iter (sweeps : sweeps) =
+  let rung name solver run =
+    Rung
+      { name;
+        attempt =
+          (fun () ->
+            let x, (st : iter_stats) = run () in
+            { x;
+              solver;
+              iterations = Some st.iterations;
+              converged = st.converged;
+              why = None;
+              info = None }) }
+  in
+  ( rung "Gauss-Seidel sweeps" (prefix ^ "gauss_seidel") (fun () ->
+        let x, st, _ = sweeps ~max_iter ~omega:1.0 None in
+        (x, st)),
+    rung "SOR sweeps" (prefix ^ "sor") (fun () -> staged_sor ~max_iter sweeps) )
+
+(* Robust Ax = b.  Verified against ||Ax - b||_inf / max(1, ||b||_inf). *)
 let solve ?(max_iter = 100_000) ?(tol = 1e-12) a b =
   let n = Array.length b in
   let scale = Float.max 1.0 (inf_norm b) in
-  let verify_tol = Float.max (tol *. 1e4) 1e-8 in
-  let verified x = residual_inf a x b /. scale in
-  let direct ~from =
-    (match from with
-    | None -> ()
-    | Some src ->
-        Diag.emitf Diag.Fallback ~solver:"linsolve"
-          "%s: falling back to direct Gaussian elimination" src);
-    note_dense ~solver:"linsolve" n;
-    let x =
-      try gauss (Sparse.to_dense a) b
-      with Singular ->
-        Diag.emit Diag.Error ~solver:"gauss"
-          "direct fallback hit a singular pivot: system has no unique solution";
-        raise Singular
-    in
-    let r = verified x in
-    if r > verify_tol then
-      Diag.emit Diag.Warning ~solver:"gauss" ~residual:r ~tolerance:verify_tol
-        "direct-solve residual above verification tolerance (ill-conditioned system)";
-    x
+  let p =
+    { solver = "linsolve";
+      n;
+      residual = (fun x -> residual_inf a x b /. scale);
+      verify_tol = Float.max (tol *. 1e4) 1e-8;
+      finish = Fun.id;
+      direct_name = "direct Gaussian elimination";
+      direct =
+        (fun () ->
+          note_dense ~solver:"linsolve" n;
+          try gauss (Sparse.to_dense a) b
+          with Singular ->
+            Diag.emit Diag.Error ~solver:"gauss"
+              "direct solve hit a singular pivot: system has no unique solution";
+            raise Singular) }
   in
-  (* a converged-and-verified Krylov solve, or None with a diagnostic *)
-  let try_krylov variant =
-    let x, st, name = krylov_run variant ~tol:(Float.min tol 1e-10) a b in
-    let r = verified x in
-    if st.Krylov.converged && r <= verify_tol then begin
-      Diag.emitf Diag.Info ~solver:name ~iterations:st.Krylov.iterations
-        ~residual:r ~tolerance:verify_tol "converged (n=%d, nnz=%d)" n
-        (Sparse.nnz a);
-      Some x
-    end
-    else begin
-      Diag.emit Diag.Non_convergence ~solver:name ~iterations:st.Krylov.iterations
-        ~residual:r ~tolerance:verify_tol
-        (if st.Krylov.converged then
-           "iterate stalled: post-solve residual verification failed"
-         else "no convergence within iteration budget");
-      None
-    end
+  let krylov =
+    krylov_rung ~system:(lazy (a, b)) ~tol:(Float.min tol 1e-10)
+      ~note:(Printf.sprintf "converged (n=%d, nnz=%d)" n (Sparse.nnz a))
   in
-  let forced_fail ~solver x r =
-    Diag.emitf Diag.Error ~solver ~residual:r ~tolerance:verify_tol
-      "forced method did not produce a verified solution (no fallback under \
-       --solver)";
-    x
+  let gs, sor =
+    sweep_rungs ~prefix:"" ~max_iter (fun ~max_iter ~omega x0 ->
+        sor_rate ~max_iter ~tol ~omega ?x0 a b)
   in
-  let stationary ~then_krylov () =
-    match
-      try `Ok (sor_rate ~max_iter ~tol ~omega:1.0 a b) with Singular -> `Sing
-    with
-    | `Sing -> direct ~from:(Some "gauss_seidel hit a zero diagonal")
-    | `Ok (x1, st1, rho) -> (
-        let r1 = verified x1 in
-        if st1.converged && r1 <= verify_tol then x1
-        else begin
-          Diag.emit Diag.Non_convergence ~solver:"gauss_seidel"
-            ~iterations:st1.iterations ~residual:r1 ~tolerance:verify_tol
-            (if st1.converged then
-               "iterate stalled: post-solve residual verification failed"
-             else "no convergence within iteration budget");
-          let omega = adaptive_omega rho in
-          Diag.emitf Diag.Fallback ~solver:"linsolve"
-            "escalating to SOR (adaptive omega=%.3f)" omega;
-          let x0 = if Float.is_finite r1 && r1 < 1e100 then Some x1 else None in
-          match
-            try `Ok (sor_rate ~max_iter ~tol ~omega ?x0 a b)
-            with Singular -> `Sing
-          with
-          | `Sing -> direct ~from:(Some "sor hit a zero diagonal")
-          | `Ok (x2, st2, _) ->
-              let r2 = verified x2 in
-              if st2.converged && r2 <= verify_tol then x2
-              else begin
-                Diag.emit Diag.Non_convergence ~solver:"sor"
-                  ~iterations:st2.iterations ~residual:r2 ~tolerance:verify_tol
-                  "no convergence within iteration budget";
-                if n <= direct_cap then direct ~from:(Some "sor")
-                else begin
-                  match
-                    if then_krylov then begin
-                      Diag.emit Diag.Fallback ~solver:"linsolve"
-                        "escalating to preconditioned BiCGStab";
-                      try_krylov `Bicgstab
-                    end
-                    else None
-                  with
-                  | Some x -> x
-                  | None ->
-                      Diag.emitf Diag.Error ~solver:"linsolve"
-                        ~residual:(Float.min r1 r2) ~tolerance:verify_tol
-                        "system of size %d exceeds the direct-solve cap (%d); \
-                         returning best unverified iterate"
-                        n direct_cap;
-                      if r2 < r1 then x2 else x1
-                end
-              end
-        end)
-  in
-  match current_method () with
-  | Bicgstab -> (
-      match try_krylov `Bicgstab with
-      | Some x -> x
-      | None ->
-          let x, st, name = krylov_run `Bicgstab ~tol:(Float.min tol 1e-10) a b in
-          ignore st;
-          forced_fail ~solver:name x (verified x))
-  | Gmres -> (
-      match try_krylov `Gmres with
-      | Some x -> x
-      | None ->
-          let x, st, name = krylov_run `Gmres ~tol:(Float.min tol 1e-10) a b in
-          ignore st;
-          forced_fail ~solver:name x (verified x))
-  | Direct -> direct ~from:None
-  | Gauss_seidel -> (
-      match
-        try `Ok (sor_rate ~max_iter ~tol ~omega:1.0 a b)
-        with Singular -> `Sing
-      with
-      | `Sing ->
-          Diag.emit Diag.Error ~solver:"gauss_seidel"
-            "zero diagonal entry (no fallback under --solver)";
-          raise Singular
-      | `Ok (x, st, _) ->
-          let r = verified x in
-          if st.converged && r <= verify_tol then x
-          else forced_fail ~solver:"gauss_seidel" x r)
-  | Sor -> (
-      (* short Gauss-Seidel probe to estimate the contraction ratio that
-         picks the over-relaxation factor; the over-relaxed run then gets
-         a bounded trial window and must beat the probe's step size, or
-         the budget is finished at omega = 1 — Young's formula assumes a
-         property-A ordering and can oscillate without blowing up on a
-         general sweep operator, which would otherwise burn the whole
-         [max_iter] budget producing nothing *)
-      match
-        try
-          let probe = max 10 (min 100 (max_iter / 10)) in
-          let x0, d0, rho =
-            let x0, st, rho = sor_rate ~max_iter:probe ~tol ~omega:1.0 a b in
-            (x0, st.residual, rho)
-          in
-          let omega = adaptive_omega rho in
-          let trial = max 50 (min 1_000 (max_iter / 20)) in
-          let x1, st1, _ = sor_rate ~max_iter:trial ~tol ~omega ~x0 a b in
-          if st1.converged then `Ok (omega, (x1, st1, nan))
-          else if st1.residual < d0 then
-            `Ok (omega, sor_rate ~max_iter:(max_iter - trial) ~tol ~omega ~x0:x1 a b)
-          else `Ok (1.0, sor_rate ~max_iter:(max_iter - trial) ~tol ~omega:1.0 ~x0 a b)
-        with Singular -> `Sing
-      with
-      | `Sing ->
-          Diag.emit Diag.Error ~solver:"sor"
-            "zero diagonal entry (no fallback under --solver)";
-          raise Singular
-      | `Ok (_, (x, st, _)) ->
-          let r = verified x in
-          if st.converged && r <= verify_tol then x
-          else forced_fail ~solver:"sor" x r)
-  | Gth | Auto ->
-      (* GTH applies to CTMC steady states only; for a general system the
-         automatic chain stands in *)
-      if n >= krylov_threshold then
-        match try_krylov `Bicgstab with
-        | Some x -> x
-        | None -> (
-            match try_krylov `Gmres with
-            | Some x -> x
-            | None ->
-                Diag.emit Diag.Fallback ~solver:"linsolve"
-                  "krylov failed: falling back to stationary sweeps";
-                stationary ~then_krylov:false ())
-      else stationary ~then_krylov:true ()
+  (* GTH applies to CTMC steady states only: a general system runs the
+     automatic ladder *)
+  drive p
+    ~forced:
+      (match current_method () with
+      | Gauss_seidel -> Some gs
+      | Sor -> Some sor
+      | m -> forced_common krylov m)
+    ~auto:(fun () -> auto_ladder n ~krylov gs)
 
 let normalize_l1 x =
   let s = Array.fold_left ( +. ) 0.0 x in
@@ -563,142 +603,63 @@ let dtmc_steady_state ?(max_iter = 1_000_000) ?(tol = 1e-13) p =
   else if n = 1 then [| 1.0 |]
   else begin
     let solver = "dtmc_steady_state" in
-    let verify_tol = verify_tol_of tol in
-    (* one Krylov attempt on the replaced-row system; [Some pi] only when
-       converged AND the true residual pi P = pi verifies *)
-    let krylov_attempt variant =
-      let a, b = dtmc_krylov_system p in
-      let ktol = Float.max 1e-12 (tol *. 10.0) in
-      let x, st, name = krylov_run variant ~tol:ktol a b in
-      let r = dtmc_residual p x /. Float.max 1.0 (inf_norm x) in
-      if st.Krylov.converged && r <= verify_tol then begin
-        Diag.emitf Diag.Info ~solver:name ~iterations:st.Krylov.iterations
-          ~residual:r ~tolerance:verify_tol
-          "krylov steady state (n=%d, nnz=%d)" n (Sparse.nnz p);
-        Some (clamp_normalize ~solver x)
-      end
-      else begin
-        Diag.emit Diag.Non_convergence ~solver:name
-          ~iterations:st.Krylov.iterations ~residual:r ~tolerance:verify_tol
-          (if st.Krylov.converged then
-             "iterate stalled: post-solve residual verification of pi P = pi \
-              failed"
-           else "no convergence within iteration budget");
-        None
-      end
+    let prob =
+      { solver;
+        n;
+        residual = (fun x -> dtmc_residual p x /. Float.max 1.0 (inf_norm x));
+        verify_tol = verify_tol_of tol;
+        finish = clamp_normalize ~solver;
+        direct_name = "direct solve of pi (P - I) = 0";
+        direct = (fun () -> dtmc_direct p) }
     in
-    let forced_krylov variant =
-      match krylov_attempt variant with
-      | Some x -> x
-      | None ->
-          Diag.emit Diag.Error ~solver
-            "forced krylov method did not produce a verified steady state (no \
-             fallback under --solver)";
-          Array.make n (1.0 /. float_of_int n)
+    let krylov =
+      krylov_rung ~system:(lazy (dtmc_krylov_system p)) ~tol:(Float.max 1e-12 (tol *. 10.0))
+        ~note:(Printf.sprintf "krylov steady state (n=%d, nnz=%d)" n (Sparse.nnz p))
     in
-    let power_chain () =
-    (* Iterate on the transpose: [vec_mat x p] and [mat_vec pT x] add the
-       same nonnegative terms in the same per-entry order (increasing
-       source row), so the switch is bit-identical — and the row-parallel
-       kernel applies, where the scatter form could not be partitioned
-       without changing the reduction order. *)
-    let pt = Sparse.transpose p in
-    let x = ref (Array.make n (1.0 /. float_of_int n)) in
-    let xprev = ref (Array.copy !x) in
-    let k = ref 0 and delta = ref infinity and oscillating = ref false in
-    while !delta > tol && !k < max_iter && not !oscillating do
-      Deadline.check ();
-      let x' = Sparse.par_mat_vec pt !x in
-      normalize_l1 x';
-      let d = ref 0.0 and d2 = ref 0.0 in
-      Array.iteri
-        (fun i v ->
-          d := Float.max !d (Float.abs (v -. !x.(i)));
-          d2 := Float.max !d2 (Float.abs (v -. !xprev.(i))))
-        x';
-      delta := !d;
-      (* x_{k+1} ~ x_{k-1} while x_{k+1} <> x_k: the iterate entered a
-         period-2 limit cycle (periodic chain) and will never converge *)
-      if !k > 2 && !d2 <= tol && !d > tol then oscillating := true;
-      xprev := !x;
-      x := x';
-      incr k
-    done;
-    let accept v = dtmc_residual p v /. Float.max 1.0 (inf_norm v) <= verify_tol in
-    if !delta <= tol && accept !x then clamp_normalize ~solver !x
-    else begin
-      Diag.emit Diag.Non_convergence ~solver ~iterations:!k
-        ~residual:(dtmc_residual p !x) ~tolerance:verify_tol
-        (if !oscillating then
-           "power iteration entered a period-2 limit cycle (periodic chain)"
-         else if !delta <= tol then
-           "iterate stalled: post-solve residual verification failed"
-         else "no convergence within iteration budget");
-      if n <= direct_cap then begin
-        Diag.emit Diag.Fallback ~solver
-          "escalating to direct solve of pi (P - I) = 0";
-        let y = dtmc_direct p in
-        let r = dtmc_residual p y in
-        if r /. Float.max 1.0 (inf_norm y) > verify_tol then
-          Diag.emit Diag.Warning ~solver ~residual:r ~tolerance:verify_tol
-            "direct steady-state residual above verification tolerance";
-        clamp_normalize ~solver y
-      end
-      else begin
-        (* too large for elimination: preconditioned Krylov on the
-           replaced-row system (unless already attempted above), then a
-           Cesaro average that repairs period-2 cycles; otherwise return
-           the best iterate, loudly *)
-        match
-          if n < krylov_threshold then begin
-            Diag.emit Diag.Fallback ~solver
-              "escalating to preconditioned BiCGStab";
-            krylov_attempt `Bicgstab
-          end
-          else None
-        with
-        | Some y -> y
-        | None ->
-            let avg = Array.init n (fun i -> 0.5 *. (!x.(i) +. !xprev.(i))) in
-            if accept avg then begin
-              Diag.emit Diag.Warning ~solver
-                "accepted Cesaro-averaged iterate for a periodic chain";
-              clamp_normalize ~solver avg
-            end
-            else begin
-              Diag.emitf Diag.Error ~solver ~residual:(dtmc_residual p !x)
-                ~tolerance:verify_tol
-                "chain of size %d exceeds the direct-solve cap (%d); returning unverified iterate"
-                n direct_cap;
-              clamp_normalize ~solver !x
-            end
-      end
-    end
+    let power () =
+      (* Iterate on the transpose: [vec_mat x p] and [mat_vec pT x] add the
+         same nonnegative terms in the same per-entry order (increasing
+         source row), so the switch is bit-identical — and the row-parallel
+         kernel applies, where the scatter form could not be partitioned
+         without changing the reduction order. *)
+      let pt = Sparse.transpose p in
+      let x = ref (Array.make n (1.0 /. float_of_int n)) in
+      let xprev = ref (Array.copy !x) in
+      let k = ref 0 and delta = ref infinity and oscillating = ref false in
+      while !delta > tol && !k < max_iter && not !oscillating do
+        Deadline.check ();
+        let x' = Sparse.par_mat_vec pt !x in
+        normalize_l1 x';
+        let d = ref 0.0 and d2 = ref 0.0 in
+        Array.iteri
+          (fun i v ->
+            d := Float.max !d (Float.abs (v -. !x.(i)));
+            d2 := Float.max !d2 (Float.abs (v -. !xprev.(i))))
+          x';
+        delta := !d;
+        (* x_{k+1} ~ x_{k-1} while x_{k+1} <> x_k: the iterate entered a
+           period-2 limit cycle (periodic chain) and will never converge *)
+        if !k > 2 && !d2 <= tol && !d > tol then oscillating := true;
+        xprev := !x;
+        x := x';
+        incr k
+      done;
+      { x = !x;
+        solver;
+        iterations = Some !k;
+        converged = !delta <= tol;
+        why =
+          (if !oscillating then
+             Some "power iteration entered a period-2 limit cycle (periodic chain)"
+           else None);
+        info = None }
     in
-    match current_method () with
-    | Bicgstab -> forced_krylov `Bicgstab
-    | Gmres -> forced_krylov `Gmres
-    | Direct ->
-        let y = dtmc_direct p in
-        let r = dtmc_residual p y /. Float.max 1.0 (inf_norm y) in
-        if r > verify_tol then
-          Diag.emit Diag.Warning ~solver ~residual:r ~tolerance:verify_tol
-            "direct steady-state residual above verification tolerance";
-        clamp_normalize ~solver y
-    | Gauss_seidel | Sor | Gth | Auto -> (
-        (* no GS/SOR/GTH specialization exists for the DTMC path: the
-           automatic chain stands in for those forcings *)
-        if n >= krylov_threshold then
-          match krylov_attempt `Bicgstab with
-          | Some x -> x
-          | None -> (
-              match krylov_attempt `Gmres with
-              | Some x -> x
-              | None ->
-                  Diag.emit Diag.Fallback ~solver
-                    "krylov failed: falling back to power iteration";
-                  power_chain ())
-        else power_chain ())
+    (* no GS/SOR/GTH rung exists for a DTMC: those forcings run the
+       automatic ladder *)
+    drive prob
+      ~forced:(forced_common krylov (current_method ()))
+      ~auto:(fun () ->
+        auto_ladder n ~krylov (Rung { name = "power iteration"; attempt = power }))
   end
 
 (* --- CTMC steady state ------------------------------------------------ *)
@@ -722,10 +683,14 @@ let ctmc_residual q x =
 
 (* Gauss-Seidel / SOR sweeps on Q^T x = 0 with per-sweep normalization:
    the thesis' steady-state method; converges orders of magnitude faster
-   than power iteration on stiff chains.  Returns the final relative
-   change, the sweep count, and the observed contraction ratio. *)
-let ctmc_sweeps ~omega ~max_iter ~tol qt x =
-  let n = Array.length x in
+   than power iteration on stiff chains.  Starts from [x0] (uniform when
+   [None]) and returns the iterate, its stats and the observed
+   contraction ratio. *)
+let ctmc_sweeps ~omega ~max_iter ~tol qt x0 =
+  let n = Sparse.rows qt in
+  let x =
+    match x0 with Some v -> Array.copy v | None -> Array.make n (1.0 /. float_of_int n)
+  in
   let k = ref 0 and delta = ref infinity in
   let prev = ref nan and rho = ref nan in
   while !delta > tol && !k < max_iter do
@@ -756,7 +721,7 @@ let ctmc_sweeps ~omega ~max_iter ~tol qt x =
     prev := !d;
     incr k
   done;
-  (!delta, !k, !rho)
+  (x, { iterations = !k; residual = !delta; converged = !delta <= tol }, !rho)
 
 (* Half-bandwidth of the sparsity pattern: max |i - j| over stored entries. *)
 let bandwidth q =
@@ -857,211 +822,66 @@ let ctmc_steady_state ?(max_iter = 200_000) ?(tol = 1e-13) ?(direct_threshold = 
   else if n = 1 then [| 1.0 |]
   else begin
     let solver = "ctmc_steady_state" in
-    let qnorm =
-      Float.max 1e-300 (2.0 *. inf_norm (Sparse.diag q))
+    let qnorm = Float.max 1e-300 (2.0 *. inf_norm (Sparse.diag q)) in
+    let prob =
+      { solver;
+        n;
+        residual = (fun x -> ctmc_residual q x /. qnorm);
+        verify_tol = verify_tol_of tol;
+        finish = clamp_normalize ~solver;
+        direct_name = "direct solve of pi Q = 0";
+        direct = (fun () -> steady_state_direct q) }
     in
-    let verify_tol = verify_tol_of tol in
-    let rel x = ctmc_residual q x /. qnorm in
-    let direct ~from () =
-      (match from with
-      | None -> ()
-      | Some src ->
-          Diag.emitf Diag.Fallback ~solver
-            "%s: falling back to direct solve of pi Q = 0" src);
-      let x = steady_state_direct q in
-      let r = rel x in
-      if r > verify_tol then
-        Diag.emit Diag.Warning ~solver ~residual:r ~tolerance:verify_tol
-          "direct steady-state residual above verification tolerance";
-      clamp_normalize ~solver x
+    let krylov =
+      krylov_rung ~system:(lazy (ctmc_krylov_system q)) ~tol:(Float.max 1e-12 (tol *. 10.0))
+        ~note:(Printf.sprintf "krylov steady state (n=%d, nnz=%d)" n (Sparse.nnz q))
     in
-    (* one Krylov attempt on the replaced-row system; [Some pi] only when
-       converged AND the true residual pi Q = 0 verifies *)
-    let krylov_attempt variant =
-      let a, b = ctmc_krylov_system q in
-      let ktol = Float.max 1e-12 (tol *. 10.0) in
-      let x, st, name = krylov_run variant ~tol:ktol a b in
-      let r = rel x in
-      if st.Krylov.converged && r <= verify_tol then begin
-        Diag.emitf Diag.Info ~solver:name ~iterations:st.Krylov.iterations
-          ~residual:r ~tolerance:verify_tol
-          "krylov steady state (n=%d, nnz=%d)" n (Sparse.nnz q);
-        Some (clamp_normalize ~solver x)
-      end
-      else begin
-        Diag.emit Diag.Non_convergence ~solver:name
-          ~iterations:st.Krylov.iterations ~residual:r ~tolerance:verify_tol
-          (if st.Krylov.converged then
-             "iterate stalled: post-solve residual verification of pi Q failed"
-           else "no convergence within iteration budget");
-        None
-      end
+    let qt = lazy (Sparse.transpose q) in
+    let gs, sor =
+      sweep_rungs ~prefix:"ctmc_" ~max_iter (fun ~max_iter ~omega x0 ->
+          ctmc_sweeps ~omega ~max_iter ~tol (Lazy.force qt) x0)
     in
-    let forced_krylov variant =
-      match krylov_attempt variant with
-      | Some x -> x
-      | None ->
-          Diag.emit Diag.Error ~solver
-            "forced krylov method did not produce a verified steady state (no \
-             fallback under --solver)";
-          Array.make n (1.0 /. float_of_int n)
-    in
-    let sweeps_chain ~try_krylov_last () =
-      let qt = Sparse.transpose q in
-      let x = Array.make n (1.0 /. float_of_int n) in
-      let delta, iters, rho = ctmc_sweeps ~omega:1.0 ~max_iter ~tol qt x in
-      let r = rel x in
-      if delta <= tol && r <= verify_tol then clamp_normalize ~solver x
-      else begin
-        Diag.emit Diag.Non_convergence ~solver:"ctmc_gauss_seidel"
-          ~iterations:iters ~residual:r ~tolerance:verify_tol
-          (if delta <= tol then
-             "iterate stalled: post-solve residual verification of pi Q failed"
-           else "no convergence within iteration budget");
-        let omega = adaptive_omega rho in
-        Diag.emitf Diag.Fallback ~solver
-          "escalating to SOR sweeps (adaptive omega=%.3f)" omega;
-        let delta2, iters2, _ = ctmc_sweeps ~omega ~max_iter ~tol qt x in
-        let r2 = rel x in
-        if delta2 <= tol && r2 <= verify_tol then clamp_normalize ~solver x
-        else begin
-          Diag.emit Diag.Non_convergence ~solver:"ctmc_sor" ~iterations:iters2
-            ~residual:r2 ~tolerance:verify_tol
-            "no convergence within iteration budget";
-          if n <= direct_cap then direct ~from:(Some "ctmc_sor") ()
-          else begin
-            match
-              if try_krylov_last then begin
-                Diag.emit Diag.Fallback ~solver
-                  "escalating to preconditioned BiCGStab";
-                krylov_attempt `Bicgstab
-              end
-              else None
-            with
-            | Some y -> y
-            | None ->
-                Diag.emitf Diag.Error ~solver ~residual:r2 ~tolerance:verify_tol
-                  "chain of size %d exceeds the direct-solve cap (%d); returning unverified iterate"
-                  n direct_cap;
-                clamp_normalize ~solver x
-          end
-        end
-      end
+    let gth bw =
+      Rung
+        { name = "banded GTH elimination";
+          attempt =
+            (fun () ->
+              let x, why =
+                match if bw > 0 then ctmc_gth_banded q bw else None with
+                | Some x -> (x, None)
+                | None ->
+                    ( Array.make n (1.0 /. float_of_int n),
+                      Some "banded GTH elimination found no transition to a lower-indexed state" )
+              in
+              { x;
+                solver;
+                iterations = None;
+                converged = why = None;
+                why;
+                info = Some (Printf.sprintf "banded GTH elimination (n=%d, bandwidth=%d)" n bw) }) }
     in
     let auto () =
-      if n <= direct_threshold then direct ~from:None ()
+      if n <= direct_threshold then [ Direct ]
       else begin
         (* A banded generator whose elimination cost n*bw^2 fits inside the
            direct budget (threshold^3) is solved exactly by subtraction-free
            GTH elimination: O(n*bw^2) work, and immune to the sweep stalls
            that nearly-decomposable lattice chains provoke. *)
         let bw = bandwidth q in
-        let band_cost =
-          float_of_int n *. float_of_int bw *. float_of_int bw
-        in
-        let band_budget = float_of_int direct_threshold ** 3.0 in
-        let banded =
-          if bw > 0 && band_cost <= band_budget then ctmc_gth_banded q bw
-          else None
-        in
-        match
-          match banded with
-          | Some x when rel x <= verify_tol -> Some x
-          | _ -> None
-        with
-        | Some x ->
-            Diag.emitf Diag.Info ~solver
-              "banded GTH elimination (n=%d, bandwidth=%d)" n bw;
-            clamp_normalize ~solver x
-        | None -> (
-            if n >= krylov_threshold then
-              match krylov_attempt `Bicgstab with
-              | Some x -> x
-              | None -> (
-                  match krylov_attempt `Gmres with
-                  | Some x -> x
-                  | None ->
-                      Diag.emit Diag.Fallback ~solver
-                        "krylov failed: falling back to stationary sweeps";
-                      sweeps_chain ~try_krylov_last:false ())
-            else sweeps_chain ~try_krylov_last:true ())
+        let band_cost = float_of_int n *. float_of_int bw *. float_of_int bw in
+        let banded = bw > 0 && band_cost <= float_of_int direct_threshold ** 3.0 in
+        (if banded then [ gth bw ] else []) @ auto_ladder n ~krylov gs
       end
     in
-    match current_method () with
-    | Auto -> auto ()
-    | Bicgstab -> forced_krylov `Bicgstab
-    | Gmres -> forced_krylov `Gmres
-    | Direct -> direct ~from:None ()
-    | Gth -> (
+    drive prob
+      ~forced:
+        (match current_method () with
+        | Gauss_seidel -> Some gs
+        | Sor -> Some sor
         (* forced GTH runs the banded elimination whatever the bandwidth:
            the caller asked for the exact subtraction-free answer and
            accepts the n*bw^2 cost *)
-        let bw = bandwidth q in
-        match (if bw > 0 then ctmc_gth_banded q bw else None) with
-        | Some x when rel x <= verify_tol ->
-            Diag.emitf Diag.Info ~solver
-              "banded GTH elimination (n=%d, bandwidth=%d)" n bw;
-            clamp_normalize ~solver x
-        | Some x ->
-            Diag.emit Diag.Error ~solver ~residual:(rel x)
-              ~tolerance:verify_tol
-              "forced GTH elimination failed residual verification (no \
-               fallback under --solver)";
-            clamp_normalize ~solver x
-        | None ->
-            Diag.emit Diag.Error ~solver
-              "forced GTH elimination failed: no transition to a \
-               lower-indexed state (no fallback under --solver)";
-            Array.make n (1.0 /. float_of_int n))
-    | Gauss_seidel ->
-        let qt = Sparse.transpose q in
-        let x = Array.make n (1.0 /. float_of_int n) in
-        let delta, iters, _ = ctmc_sweeps ~omega:1.0 ~max_iter ~tol qt x in
-        let r = rel x in
-        if delta <= tol && r <= verify_tol then clamp_normalize ~solver x
-        else begin
-          Diag.emit Diag.Error ~solver:"ctmc_gauss_seidel" ~iterations:iters
-            ~residual:r ~tolerance:verify_tol
-            "forced method did not produce a verified steady state (no \
-             fallback under --solver)";
-          clamp_normalize ~solver x
-        end
-    | Sor ->
-        (* short Gauss-Seidel probe for the contraction ratio that picks
-           the over-relaxation factor; the over-relaxed run gets a
-           bounded trial window and must beat the probe's step size, or
-           the remaining budget runs at omega = 1 — over-relaxation can
-           oscillate without blowing up on a general CTMC sweep operator,
-           and a forced method that silently burns [max_iter] sweeps on a
-           non-contracting iterate helps nobody *)
-        let qt = Sparse.transpose q in
-        let x = Array.make n (1.0 /. float_of_int n) in
-        let probe = max 10 (min 100 (max_iter / 10)) in
-        let d0, _, rho = ctmc_sweeps ~omega:1.0 ~max_iter:probe ~tol qt x in
-        let omega = adaptive_omega rho in
-        let trial = max 50 (min 1_000 (max_iter / 20)) in
-        let xo = Array.copy x in
-        let d1, it1, _ = ctmc_sweeps ~omega ~max_iter:trial ~tol qt xo in
-        let delta, iters, x =
-          if d1 <= tol then (d1, probe + it1, xo)
-          else if d1 < d0 then
-            let d, it, _ =
-              ctmc_sweeps ~omega ~max_iter:(max_iter - trial) ~tol qt xo
-            in
-            (d, probe + trial + it, xo)
-          else
-            let d, it, _ =
-              ctmc_sweeps ~omega:1.0 ~max_iter:(max_iter - trial) ~tol qt x
-            in
-            (d, probe + trial + it, x)
-        in
-        let r = rel x in
-        if delta <= tol && r <= verify_tol then clamp_normalize ~solver x
-        else begin
-          Diag.emit Diag.Error ~solver:"ctmc_sor" ~iterations:iters ~residual:r
-            ~tolerance:verify_tol
-            "forced method did not produce a verified steady state (no \
-             fallback under --solver)";
-          clamp_normalize ~solver x
-        end
+        | Gth -> Some (gth (bandwidth q))
+        | m -> forced_common krylov m)
+      ~auto
   end

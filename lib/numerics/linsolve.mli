@@ -5,27 +5,35 @@
     small dense systems (vanishing-marking elimination, embedded DTMCs,
     fundamental-matrix MTTF).
 
-    Failure semantics: no solver fails silently.  Iterative solvers verify
-    their accepted iterate against the true residual and record a
-    {!Diag.Non_convergence} diagnostic when the budget runs out or
-    verification fails; {!solve}, {!ctmc_steady_state} and
-    {!dtmc_steady_state} then escalate automatically (Gauss–Seidel → SOR
-    with adaptive over-relaxation → direct elimination), each hop recorded
-    as a {!Diag.Fallback}.  Negative steady-state entries are clamped with
-    a {!Diag.Warning} carrying the clamped magnitude. *)
+    Failure semantics: no solver fails silently.  {!solve},
+    {!ctmc_steady_state} and {!dtmc_steady_state} climb one solver ladder:
+    each rung's answer is verified against the true residual, a rung that
+    fails records a {!Diag.Non_convergence} diagnostic, and each hop to the
+    next rung a {!Diag.Fallback}.  Under [Auto] the ladder follows the
+    system size: preconditioned Krylov first from {!krylov_threshold}
+    unknowns; then the entry point's stationary method (Gauss–Seidel
+    sweeps, or power iteration for a DTMC); then direct elimination up to
+    4096 unknowns, or preconditioned BiCGStab above that.  A ladder that
+    runs out returns its best iterate with a {!Diag.Error}.  Negative
+    steady-state entries are clamped with a {!Diag.Warning} carrying the
+    clamped magnitude. *)
 
 exception Singular
 (** Raised by the direct solvers when elimination hits a (near-)zero pivot. *)
 
 (** {1 Solver selection}
 
-    The automatic escalation chain can be overridden (the [--solver]
-    flag): a forced method runs alone and records a {!Diag.Error} when it
-    fails, instead of silently escalating — which keeps differential
-    solver-vs-solver comparisons meaningful. *)
+    The automatic ladder can be overridden (the [--solver] flag): a forced
+    method is a ladder of that one rung.  When it fails it records a single
+    {!Diag.Error} and returns its own unverified iterate (a uniform vector
+    when GTH elimination finds no lower-indexed transition) instead of
+    escalating, which keeps differential solver-vs-solver comparisons
+    meaningful.  A method an entry point has no rung for ([gth] for
+    {!solve}; [gs], [sor] and [gth] for {!dtmc_steady_state}) runs the
+    automatic ladder. *)
 
 type method_ =
-  | Auto  (** size-directed chain: direct / banded GTH / Krylov / sweeps *)
+  | Auto  (** size-directed ladder: direct / banded GTH / Krylov / sweeps *)
   | Gauss_seidel
   | Sor
   | Bicgstab
@@ -40,15 +48,13 @@ val with_method : method_ -> (unit -> 'a) -> 'a
 (** [with_method m f] runs [f] with the solver override set to [m],
     restoring the previous override afterwards (also on exceptions). *)
 
-val method_to_string : method_ -> string
-
-val method_of_string : string -> method_ option
-(** Accepts [auto], [gs]/[gauss-seidel], [sor], [bicgstab], [gmres],
-    [gth], [direct]. *)
+val methods : (string * method_) list
+(** The [--solver] names: [auto], [gs]/[gauss-seidel], [sor], [bicgstab],
+    [gmres], [gth], [direct]. *)
 
 val krylov_threshold : int
-(** Systems with at least this many unknowns skip the stationary sweeps
-    and try preconditioned Krylov first under [Auto]. *)
+(** Systems with at least this many unknowns try preconditioned Krylov
+    before the stationary method under [Auto]. *)
 
 (** {1 Dense-materialization accounting}
 
@@ -98,11 +104,12 @@ val sor :
 (** Successive over-relaxation; [omega = 1] degenerates to Gauss–Seidel. *)
 
 val solve : ?max_iter:int -> ?tol:float -> Sparse.t -> float array -> float array
-(** [solve a b] solves [a x = b] with the automatic escalation chain:
-    Gauss–Seidel, then SOR with an over-relaxation factor adapted to the
-    observed contraction rate, then direct Gaussian elimination — each hop
-    recorded as a {!Diag.Fallback} diagnostic, and the accepted answer
-    verified against [||a x - b||_inf].
+(** [solve a b] solves [a x = b] on the automatic ladder: Gauss–Seidel,
+    then direct Gaussian elimination up to 4096 unknowns or preconditioned
+    BiCGStab above that; from {!krylov_threshold} unknowns BiCGStab and
+    GMRES run before the sweeps.  Each hop is recorded as a {!Diag.Fallback}
+    diagnostic, and the accepted answer is verified against
+    [||a x - b||_inf].
     @raise Singular if even the direct solve finds no unique solution. *)
 
 val steady_state_direct : Sparse.t -> float array
@@ -128,14 +135,15 @@ val ctmc_steady_state :
     generators within the elimination budget by subtraction-free GTH;
     systems of at least {!krylov_threshold} states by preconditioned
     BiCGStab/GMRES on the CSR replaced-row system; the rest by
-    Gauss–Seidel sweeps with the SOR/Krylov/direct escalation chain
-    behind them.  The accepted vector is verified against
-    [||pi Q||_inf]; result entries are nonnegative and sum to 1. *)
+    Gauss–Seidel sweeps, with direct elimination (up to 4096 states) or
+    preconditioned BiCGStab behind them.  The accepted vector is verified
+    against [||pi Q||_inf]; result entries are nonnegative and sum to 1. *)
 
 val dtmc_steady_state :
   ?max_iter:int -> ?tol:float -> Sparse.t -> float array
 (** [dtmc_steady_state p] solves [pi P = pi], [sum pi = 1] for an irreducible
     stochastic matrix [p] by power iteration with normalization.  Periodic
     chains (detected as a period-2 limit cycle) and verification failures
-    fall back to a direct solve of [pi (P - I) = 0], recorded as a
-    {!Diag.Fallback}. *)
+    fall back to a direct solve of [pi (P - I) = 0] up to 4096 states, or
+    to preconditioned BiCGStab above that, recorded as a {!Diag.Fallback};
+    from {!krylov_threshold} states Krylov runs before power iteration. *)

@@ -70,22 +70,115 @@ let test_json_shape () =
   contains "\"iterations\":null"
 
 (* ------------------------------------------------------------------ *)
-(* Linear-solve escalation chain                                       *)
+(* Solver ladders                                                      *)
 
 (* not diagonally dominant: plain Gauss-Seidel diverges on this system *)
 let awkward () =
   Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, 1.0); (0, 1, 2.0); (1, 0, 3.0); (1, 1, 1.0) ]
 
-let test_solve_escalates_to_direct () =
-  let x, recs = Diag.capture (fun () -> Linsolve.solve (awkward ()) [| 5.0; 4.0 |]) in
-  check_float "x0" 0.6 x.(0);
-  check_float "x1" 2.2 x.(1);
-  chain "escalation sequence"
-    [ ("non-convergence", "gauss_seidel");
-      ("fallback", "linsolve");
-      ("non-convergence", "sor");
-      ("fallback", "linsolve") ]
-    (sev_solver recs)
+(* two 2-state clusters with internal rates O(1) coupled at 1e-11: the
+   sweep iteration cannot cross the coupling in any reasonable budget *)
+let ncd_generator () =
+  let e = 1e-11 in
+  let edges =
+    [ (0, 1, 1.0); (1, 0, 2.0); (0, 2, e); (2, 0, 2.0 *. e); (2, 3, 1.0); (3, 2, 2.0) ]
+  in
+  let diag =
+    let d = Array.make 4 0.0 in
+    List.iter (fun (i, _, r) -> d.(i) <- d.(i) -. r) edges;
+    Array.to_list (Array.mapi (fun i r -> (i, i, r)) d)
+  in
+  Sparse.of_triplets ~rows:4 ~cols:4 (edges @ diag)
+
+(* period 2: state 0 moves to one of [n - 1] leaves, every leaf returns to
+   0, so power iteration cycles; pi = (1/2, 1/(2(n-1)), ...) *)
+let star_dtmc n =
+  let leaves = List.init (n - 1) (fun i -> i + 1) in
+  let w = 1.0 /. float_of_int (n - 1) in
+  Sparse.of_triplets ~rows:n ~cols:n
+    (List.map (fun i -> (0, i, w)) leaves @ List.map (fun i -> (i, 0, 1.0)) leaves)
+
+let star_pi n = Array.init n (fun i -> if i = 0 then 0.5 else 0.5 /. float_of_int (n - 1))
+
+(* One row per (entry point, input, method): the answer, when one is
+   defined, and the exact (severity, solver) chain of diagnostics. *)
+type ladder_row = {
+  name : string;
+  meth : Linsolve.method_;
+  run : unit -> float array;
+  exact : (float array * float) option;  (* the answer and its tolerance *)
+  expect : (string * string) list;
+}
+
+let ladder_rows =
+  let big = 4097 (* one state above the direct-solve cap *) in
+  [ { name = "solve escalates to direct";
+      meth = Linsolve.Auto;
+      run = (fun () -> Linsolve.solve (awkward ()) [| 5.0; 4.0 |]);
+      exact = Some ([| 0.6; 2.2 |], 1e-9);
+      expect = [ ("non-convergence", "gauss_seidel"); ("fallback", "linsolve") ] };
+    { name = "solve forced failure";
+      meth = Linsolve.Gauss_seidel;
+      run = (fun () -> Linsolve.solve (awkward ()) [| 5.0; 4.0 |]);
+      exact = None;
+      expect = [ ("error", "gauss_seidel") ] };
+    { name = "ctmc small chain goes direct silently";
+      meth = Linsolve.Auto;
+      run = (fun () -> Linsolve.ctmc_steady_state (ncd_generator ()));
+      exact = Some ([| 4.0 /. 9.0; 2.0 /. 9.0; 2.0 /. 9.0; 1.0 /. 9.0 |], 1e-6);
+      expect = [] };
+    { name = "ctmc NCD fallback chain";
+      meth = Linsolve.Auto;
+      run =
+        (fun () ->
+          Linsolve.ctmc_steady_state ~direct_threshold:0 ~max_iter:20_000
+            (ncd_generator ()));
+      exact = Some ([| 4.0 /. 9.0; 2.0 /. 9.0; 2.0 /. 9.0; 1.0 /. 9.0 |], 1e-6);
+      expect =
+        [ ("non-convergence", "ctmc_gauss_seidel"); ("fallback", "ctmc_steady_state") ] };
+    { name = "ctmc forced failure";
+      meth = Linsolve.Gauss_seidel;
+      run =
+        (fun () ->
+          Linsolve.ctmc_steady_state ~direct_threshold:0 ~max_iter:20_000
+            (ncd_generator ()));
+      exact = None;
+      expect = [ ("error", "ctmc_gauss_seidel") ] };
+    { name = "dtmc periodic fallback";
+      meth = Linsolve.Auto;
+      run = (fun () -> Linsolve.dtmc_steady_state (star_dtmc 3));
+      exact = Some (star_pi 3, 1e-9);
+      expect = [ ("non-convergence", "dtmc_steady_state"); ("fallback", "dtmc_steady_state") ] };
+    (* a substochastic matrix has no pi P = pi: the forced Krylov solve
+       converges on the replaced-row system, fails verification, and its
+       own iterate (not a uniform vector) comes back *)
+    { name = "dtmc forced failure";
+      meth = Linsolve.Bicgstab;
+      run =
+        (fun () ->
+          Linsolve.dtmc_steady_state
+            (Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, 0.5); (1, 1, 0.5) ]));
+      exact = Some ([| 0.0; 1.0 |], 1e-9);
+      expect = [ ("error", "bicgstab(ilu0)") ] };
+    { name = "dtmc periodic above direct cap";
+      meth = Linsolve.Auto;
+      run = (fun () -> Linsolve.dtmc_steady_state (star_dtmc big));
+      exact = Some (star_pi big, 1e-9);
+      expect =
+        [ ("non-convergence", "dtmc_steady_state");
+          ("fallback", "dtmc_steady_state");
+          ("info", "bicgstab(ilu0)") ] } ]
+
+let ladder_case r =
+  Alcotest.test_case r.name `Quick (fun () ->
+      let x, recs = Diag.capture (fun () -> Linsolve.with_method r.meth r.run) in
+      Option.iter
+        (fun (exact, tol) ->
+          Array.iteri
+            (fun i v -> Alcotest.(check (float tol)) (Printf.sprintf "x%d" i) v x.(i))
+            exact)
+        r.exact;
+      chain "diagnostic chain" r.expect (sev_solver recs))
 
 let test_solve_quiet_when_convergent () =
   (* diagonally dominant: Gauss-Seidel converges, no diagnostics at all *)
@@ -113,59 +206,6 @@ let test_gauss_seidel_divergence_diagnosed () =
   in
   Alcotest.(check bool) "not converged" false st.Linsolve.converged;
   chain "one record" [ ("non-convergence", "gauss_seidel") ] (sev_solver recs)
-
-(* ------------------------------------------------------------------ *)
-(* CTMC steady state: nearly-completely-decomposable chain             *)
-
-(* two 2-state clusters with internal rates O(1) coupled at 1e-11: the
-   sweep iteration cannot cross the coupling in any reasonable budget *)
-let ncd_generator () =
-  let e = 1e-11 in
-  let edges =
-    [ (0, 1, 1.0); (1, 0, 2.0); (0, 2, e); (2, 0, 2.0 *. e); (2, 3, 1.0); (3, 2, 2.0) ]
-  in
-  let diag =
-    let d = Array.make 4 0.0 in
-    List.iter (fun (i, _, r) -> d.(i) <- d.(i) -. r) edges;
-    Array.to_list (Array.mapi (fun i r -> (i, i, r)) d)
-  in
-  Sparse.of_triplets ~rows:4 ~cols:4 (edges @ diag)
-
-let test_ctmc_ncd_fallback_chain () =
-  let q = ncd_generator () in
-  (* small chains go direct by default and stay silent *)
-  let pi_direct, recs0 = Diag.capture (fun () -> Linsolve.ctmc_steady_state q) in
-  Alcotest.(check int) "direct path silent" 0 (List.length recs0);
-  (* force the iterative path: sweeps fail, SOR fails, direct rescues *)
-  let pi, recs =
-    Diag.capture (fun () ->
-        Linsolve.ctmc_steady_state ~direct_threshold:0 ~max_iter:20_000 q)
-  in
-  Array.iteri (fun i p -> check_float_loose (Printf.sprintf "pi%d" i) pi_direct.(i) p) pi;
-  check_float_loose "pi0 value" (4.0 /. 9.0) pi.(0);
-  chain "escalation sequence"
-    [ ("non-convergence", "ctmc_gauss_seidel");
-      ("fallback", "ctmc_steady_state");
-      ("non-convergence", "ctmc_sor");
-      ("fallback", "ctmc_steady_state") ]
-    (sev_solver recs)
-
-(* ------------------------------------------------------------------ *)
-(* DTMC steady state: periodic chain                                   *)
-
-let test_dtmc_periodic_fallback () =
-  (* period 2: states 1 and 2 bounce back to 0; power iteration cycles *)
-  let p =
-    Sparse.of_triplets ~rows:3 ~cols:3
-      [ (0, 1, 0.5); (0, 2, 0.5); (1, 0, 1.0); (2, 0, 1.0) ]
-  in
-  let pi, recs = Diag.capture (fun () -> Linsolve.dtmc_steady_state p) in
-  check_float "pi0" 0.5 pi.(0);
-  check_float "pi1" 0.25 pi.(1);
-  check_float "pi2" 0.25 pi.(2);
-  chain "escalation sequence"
-    [ ("non-convergence", "dtmc_steady_state"); ("fallback", "dtmc_steady_state") ]
-    (sev_solver recs)
 
 (* ------------------------------------------------------------------ *)
 (* CTMC well-formedness and uniformization warnings                    *)
@@ -253,19 +293,17 @@ let suite =
     Alcotest.test_case "capture isolation" `Quick test_capture_isolation;
     Alcotest.test_case "severity order" `Quick test_severity_order;
     Alcotest.test_case "json shape" `Quick test_json_shape;
-    Alcotest.test_case "solve escalates to direct" `Quick test_solve_escalates_to_direct;
     Alcotest.test_case "solve quiet when convergent" `Quick test_solve_quiet_when_convergent;
     Alcotest.test_case "gauss_seidel iter_stats" `Quick test_gauss_seidel_stats;
     Alcotest.test_case "gauss_seidel divergence diagnosed" `Quick
-      test_gauss_seidel_divergence_diagnosed;
-    Alcotest.test_case "ctmc NCD fallback chain" `Quick test_ctmc_ncd_fallback_chain;
-    Alcotest.test_case "dtmc periodic fallback" `Quick test_dtmc_periodic_fallback;
-    Alcotest.test_case "ctmc validate unreachable" `Quick test_ctmc_validate_unreachable;
-    Alcotest.test_case "ctmc validate clean" `Quick test_ctmc_validate_clean;
-    Alcotest.test_case "ctmc make rejects nan" `Quick test_ctmc_make_rejects_nan;
-    Alcotest.test_case "cumulative truncation warning" `Quick
-      test_cumulative_truncation_warning;
-    Alcotest.test_case "interp per-statement recovery" `Quick
-      test_interp_recovers_per_statement;
-    Alcotest.test_case "interp parse error diagnostic" `Quick
-      test_interp_parse_error_is_diagnostic ]
+      test_gauss_seidel_divergence_diagnosed ]
+  @ List.map ladder_case ladder_rows
+  @ [ Alcotest.test_case "ctmc validate unreachable" `Quick test_ctmc_validate_unreachable;
+      Alcotest.test_case "ctmc validate clean" `Quick test_ctmc_validate_clean;
+      Alcotest.test_case "ctmc make rejects nan" `Quick test_ctmc_make_rejects_nan;
+      Alcotest.test_case "cumulative truncation warning" `Quick
+        test_cumulative_truncation_warning;
+      Alcotest.test_case "interp per-statement recovery" `Quick
+        test_interp_recovers_per_statement;
+      Alcotest.test_case "interp parse error diagnostic" `Quick
+        test_interp_parse_error_is_diagnostic ]

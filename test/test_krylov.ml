@@ -222,7 +222,8 @@ let prop_gmres_separated =
     scaled_arb
     (krylov_converges (fun ~precond a b -> Krylov.gmres ~tol:1e-10 ~precond a b))
 
-(* The Krylov steady-state path must agree with direct elimination. *)
+(* The Krylov steady-state path, and the automatic ladder, must agree
+   with direct elimination. *)
 let prop_krylov_steady =
   Q.Test.make ~name:"Krylov CTMC steady state matches direct elimination"
     ~count:100
@@ -243,7 +244,7 @@ let prop_krylov_steady =
         in
         close ~tol:1e-7 pi direct
       in
-      check Linsolve.Bicgstab && check Linsolve.Gmres)
+      check Linsolve.Bicgstab && check Linsolve.Gmres && check Linsolve.Auto)
 
 let suite =
   List.map

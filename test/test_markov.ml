@@ -70,6 +70,21 @@ let test_mtta_pure_death () =
   let init = [| 0.0; 0.0; 1.0 |] in
   checkf "mtta" ((1.0 /. (2.0 *. l)) +. (1.0 /. l)) (Ctmc.mtta c ~init)
 
+(* Above 500 transient states [mtta] leaves dense elimination for the
+   sparse [Linsolve.solve] ladder.  Birth-death on 0..m-1, up 2, down 1,
+   absorbing at m, from 0: the expected time to climb from k to k+1 is
+   1 - 2^-(k+1), so MTTA = m - 1 + 2^-m. *)
+let test_mtta_sparse_birth_death () =
+  let m = 800 in
+  let edges =
+    List.init m (fun k -> (k, k + 1, 2.0)) @ List.init (m - 1) (fun k -> (k + 1, k, 1.0))
+  in
+  let c = Ctmc.make ~n:(m + 1) edges in
+  let init = Array.init (m + 1) (fun i -> if i = 0 then 1.0 else 0.0) in
+  let t, recs = Sharpe_numerics.Diag.capture (fun () -> Ctmc.mtta c ~init) in
+  checkf6 "mtta" (float_of_int (m - 1) +. (2.0 ** float_of_int (-m))) t;
+  Alcotest.(check int) "no diagnostics" 0 (List.length recs)
+
 let test_absorption_probs () =
   (* from 0: to 1 w.p. 2/5, to 2 w.p. 3/5 *)
   let c = Ctmc.make ~n:3 [ (0, 1, 2.0); (0, 2, 3.0) ] in
@@ -221,6 +236,7 @@ let suite =
     ("cumulative two-state", `Quick, test_cumulative_two_state);
     ("reward measures", `Quick, test_rewards);
     ("mtta pure death", `Quick, test_mtta_pure_death);
+    ("mtta sparse birth-death", `Quick, test_mtta_sparse_birth_death);
     ("absorption probabilities", `Quick, test_absorption_probs);
     ("reward until absorption", `Quick, test_reward_until_absorption);
     ("mtta requires absorbing", `Quick, test_no_absorbing_raises);
