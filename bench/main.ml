@@ -106,8 +106,8 @@ let e1 () =
       let hand = wfs_figure27_ctmc c in
       let init = [| 1.0; 0.0; 0.0; 0.0; 0.0; 0.0 |] in
       let ts = [ 1.0; 2.0; 5.0; 10.0; 20.0 ] in
-      (* whole time grid in one call: the uncached points fan out over
-         the pool (bit-identical to point-by-point queries) *)
+      (* whole time grid in one call, answered from one checkpoint
+         ladder (bit-identical to point-by-point queries) *)
       List.iter
         (fun (t, a_srn) ->
           let pi = Ctmc.transient hand ~init t in
@@ -481,6 +481,7 @@ let repo_root = Filename.dirname (Filename.dirname examples_dir)
 let s1 () =
   let module Structhash = Sharpe_numerics.Structhash in
   let module Pool = Sharpe_numerics.Pool in
+  let module Diag = Sharpe_numerics.Diag in
   let n = if !quick_mode then 10 else 120 in
   let program = sweep_program n in
   let time_config ~cache ~jobs () =
@@ -491,22 +492,33 @@ let s1 () =
     Pool.reset_participation ();
     let buf = Buffer.create 65536 in
     let t0 = Unix.gettimeofday () in
-    Sharpe_lang.Interp.run_string ~print:(Buffer.add_string buf) program;
+    let (), records =
+      Diag.capture (fun () ->
+          Sharpe_lang.Interp.run_string ~print:(Buffer.add_string buf) program)
+    in
     let dt = Unix.gettimeofday () -. t0 in
+    (* pass the records on, so the end-of-run error check still sees them *)
+    List.iter Diag.emit_record records;
     let part = Pool.participation () in
     Structhash.set_enabled true;
     Pool.set_jobs 1;
-    (dt, Buffer.contents buf, part)
+    (dt, Buffer.contents buf, List.map Diag.record_to_json records, part)
   in
-  let t_cold, out_cold, _ = time_config ~cache:false ~jobs:1 () in
-  let t_cached, out_cached, _ = time_config ~cache:true ~jobs:1 () in
+  let t_cold, out_cold, _, _ = time_config ~cache:false ~jobs:1 () in
+  let t_cached, out_cached, diag_cached, _ =
+    time_config ~cache:true ~jobs:1 ()
+  in
   let effective = (Pool.set_jobs 4; Pool.jobs ()) in
-  let t_par, out_par, part = time_config ~cache:true ~jobs:4 () in
+  let t_par, out_par, diag_par, part = time_config ~cache:true ~jobs:4 () in
   (* the clamp result says how many domains were ALLOWED; the scheduler's
      participation stats say how many actually executed sweep tasks — the
      distinction this bench used to erase by printing one variable twice *)
   let measured = max 1 part.Pool.distinct_domains in
-  let same = out_cached = out_cold && out_par = out_cold in
+  (* the cold run re-solves every point, so only the two cached runs are
+     expected to emit the same diagnostic stream *)
+  let same =
+    out_cached = out_cold && out_par = out_cold && diag_par = diag_cached
+  in
   printf "  wfs(%d) coverage sweep, %d output lines\n" n
     (List.length (String.split_on_char '\n' out_cold) - 1);
   printf "  serial-cold   (no cache, 1 domain):  %8.3f s\n" t_cold;
@@ -519,7 +531,10 @@ let s1 () =
      (%d serial), max %d domain(s) in one batch\n"
     measured part.Pool.batches part.Pool.serial_batches
     part.Pool.max_batch_domains;
-  printf "  outputs bit-identical across configurations: %b\n" same;
+  printf
+    "  outputs bit-identical across configurations (and %d diagnostic \
+     records, cached serial vs jobs=4): %b\n"
+    (List.length diag_cached) same;
   if not same then failwith "S1: sweep outputs differ across configurations";
   (* written in quick mode too: effective_domains is how the
      clamped-to-serial parallelism regression stays visible in CI, and a
@@ -1763,12 +1778,22 @@ let () =
            (match only with Some id -> e.id = id | None -> true)
            && not (quick && e.slow))
   in
-  List.iter
-    (fun e ->
-      printf "== %s: %s ==\n%!" e.id e.title;
-      (try e.run () with exn -> printf "  ERROR: %s\n" (Printexc.to_string exn));
-      printf "\n%!")
-    todo;
+  (* an experiment that raises (a failed identity or accuracy check)
+     must not stop the others, but it fails the run *)
+  let failed =
+    List.filter
+      (fun e ->
+        printf "== %s: %s ==\n%!" e.id e.title;
+        let ok =
+          try e.run (); true
+          with exn ->
+            printf "  ERROR: %s\n" (Printexc.to_string exn);
+            false
+        in
+        printf "\n%!";
+        not ok)
+      todo
+  in
   if (not no_time) && only = None then timing_tests ();
   (* any error-severity diagnostic accumulated by a solver during the
      experiments is a correctness problem, not noise: surface it and
@@ -1779,9 +1804,8 @@ let () =
       (fun r -> r.Diag.severity = Diag.Error)
       (Diag.default_records ())
   in
-  if errors <> [] then begin
-    List.iter
-      (fun r -> Printf.eprintf "bench: %s\n" (Diag.record_to_string r))
-      errors;
-    exit 1
-  end
+  List.iter
+    (fun r -> Printf.eprintf "bench: %s\n" (Diag.record_to_string r))
+    errors;
+  List.iter (fun e -> Printf.eprintf "bench: experiment %s failed\n" e.id) failed;
+  if errors <> [] || failed <> [] then exit 1

@@ -35,10 +35,24 @@ for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
   }
 done
 
+echo "== parallel golden pass =="
+# every example again under --jobs 2: the golden suite runs serially, so
+# this is what pins the stdout of parallel loops (and of the parallel
+# SpMV kernels on large chains) to the same goldens byte for byte
+for f in examples/sharpe/*.sharpe examples/pepa/*.sharpe; do
+  golden="test/golden/$(basename "$f" .sharpe).out"
+  ./_build/default/bin/sharpe.exe --jobs 2 "$f" 2>/dev/null | cmp -s - "$golden" || {
+    echo "ci: $f under --jobs 2 differs from $golden" >&2
+    exit 1
+  }
+done
+
 echo "== bench smoke =="
 # quick pass over every experiment (timing suite skipped); the bench
-# binary itself exits nonzero when any solver emitted an error-severity
-# diagnostic, which aborts the build under set -e.  S3 (the large-model
+# binary itself exits nonzero when any experiment raised (a failed
+# identity or accuracy check, e.g. S1's serial-vs-parallel stdout and
+# diagnostics) or any solver emitted an error-severity diagnostic, which
+# aborts the build under set -e.  S3 (the large-model
 # tier) solves a 200k-state chain cold under forced BiCGStab in quick
 # mode and fails the run on a residual > 1e-9, any dense
 # materialization, or disagreement with an independent GTH solve.

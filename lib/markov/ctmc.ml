@@ -127,79 +127,79 @@ let uniformized_dtmc c =
 let check_init c init =
   if Array.length init <> c.n then invalid_arg "Ctmc: init length"
 
+(* pi(t) by truncated uniformization with steady-state detection;
+   [transient] and [transient_many] add the provenance record *)
+let transient_point ~eps c ~init t =
+  if t <= 0.0 then Array.copy init
+  else begin
+    let lambda, _, pt = uniformized_full c in
+    let w = Poisson.window ~eps (lambda *. t) in
+    let acc = Array.make c.n 0.0 in
+    let v = ref (Array.copy init) in
+    (* steady-state detection: once the DTMC iterate stops moving
+       (sup-norm step below delta), every remaining term contributes the
+       same vector, so the Poisson tail collapses to one update.  The
+       committed error is at most the tail mass times delta. *)
+    let delta = eps /. 8.0 in
+    let k = ref 0 in
+    let finished = ref false in
+    while not !finished do
+      Deadline.check ();
+      let kk = !k in
+      if kk >= w.Poisson.left then begin
+        let wk = w.Poisson.weights.(kk - w.Poisson.left) in
+        Array.iteri (fun i vi -> acc.(i) <- acc.(i) +. (wk *. vi)) !v
+      end;
+      if kk >= w.Poisson.right then finished := true
+      else begin
+        (* v P as P^T v: identical accumulation order per output entry
+           for this nonnegative system, hence bit-identical — and
+           row-parallel when the chain is large and this call is not
+           inside a pool task *)
+        let v' = Sparse.par_mat_vec pt !v in
+        let step = ref 0.0 in
+        Array.iteri
+          (fun i vi ->
+            let d = Float.abs (v'.(i) -. vi) in
+            if d > !step then step := d)
+          !v;
+        v := v';
+        if !step <= delta then begin
+          (* remaining Poisson mass, all weighting the settled vector *)
+          let tail = ref 0.0 in
+          for j = max (kk + 1) w.Poisson.left to w.Poisson.right do
+            tail := !tail +. w.Poisson.weights.(j - w.Poisson.left)
+          done;
+          Array.iteri (fun i vi -> acc.(i) <- acc.(i) +. (!tail *. vi)) !v;
+          finished := true
+        end
+      end;
+      incr k
+    done;
+    acc
+  end
+
+(* record the truncated-uniformization provenance once per solve *)
+let note_uniformization ~eps c tmax =
+  if tmax > 0.0 then begin
+    let lambda, _, _ = uniformized_full c in
+    let w = Poisson.window ~eps (lambda *. tmax) in
+    Diag.emitf Diag.Info ~solver:"ctmc_transient" ~tolerance:eps
+      "uniformization with lambda=%.6g; largest Poisson window [%d, %d] (lambda t = %.6g)"
+      lambda w.Poisson.left w.Poisson.right (lambda *. tmax)
+  end
+
 let transient_many ?(eps = 1e-12) c ~init ts =
   check_init c init;
-  let lambda, _, pt = uniformized_full c in
-  (* record the truncated-uniformization provenance once per solve *)
-  (match List.filter (fun t -> t > 0.0) ts with
-  | [] -> ()
-  | pos ->
-      let tmax = List.fold_left Float.max 0.0 pos in
-      let w = Poisson.window ~eps (lambda *. tmax) in
-      Diag.emitf Diag.Info ~solver:"ctmc_transient" ~tolerance:eps
-        "uniformization with lambda=%.6g; largest Poisson window [%d, %d] (lambda t = %.6g)"
-        lambda w.Poisson.left w.Poisson.right (lambda *. tmax));
-  let point t =
-    if t <= 0.0 then (t, Array.copy init)
-    else begin
-      let w = Poisson.window ~eps (lambda *. t) in
-      let acc = Array.make c.n 0.0 in
-      let v = ref (Array.copy init) in
-      (* steady-state detection: once the DTMC iterate stops moving
-         (sup-norm step below delta), every remaining term contributes the
-         same vector, so the Poisson tail collapses to one update.  The
-         committed error is at most the tail mass times delta. *)
-      let delta = eps /. 8.0 in
-      let k = ref 0 in
-      let finished = ref false in
-      while not !finished do
-        Deadline.check ();
-        let kk = !k in
-        if kk >= w.Poisson.left then begin
-          let wk = w.Poisson.weights.(kk - w.Poisson.left) in
-          Array.iteri (fun i vi -> acc.(i) <- acc.(i) +. (wk *. vi)) !v
-        end;
-        if kk >= w.Poisson.right then finished := true
-        else begin
-          (* v P as P^T v: identical accumulation order per output entry
-             for this nonnegative system, hence bit-identical — and
-             row-parallel when the chain is large and this call is not
-             already inside a pool task (the per-time-point fan-out
-             below keeps nested multiplies serial) *)
-          let v' = Sparse.par_mat_vec pt !v in
-          let step = ref 0.0 in
-          Array.iteri
-            (fun i vi ->
-              let d = Float.abs (v'.(i) -. vi) in
-              if d > !step then step := d)
-            !v;
-          v := v';
-          if !step <= delta then begin
-            (* remaining Poisson mass, all weighting the settled vector *)
-            let tail = ref 0.0 in
-            for j = max (kk + 1) w.Poisson.left to w.Poisson.right do
-              tail := !tail +. w.Poisson.weights.(j - w.Poisson.left)
-            done;
-            Array.iteri
-              (fun i vi -> acc.(i) <- acc.(i) +. (!tail *. vi))
-              !v;
-            finished := true
-          end
-        end;
-        incr k
-      done;
-      (t, acc)
-    end
-  in
-  (* time points are independent given (lambda, p); the pool keeps result
-     and diagnostic order identical to the serial evaluation *)
-  let ts = Array.of_list ts in
-  Array.to_list (Pool.run (Array.length ts) (fun i -> point ts.(i)))
+  (* the largest positive time (NaNs never compare greater) *)
+  note_uniformization ~eps c
+    (List.fold_left (fun m t -> if t > m then t else m) 0.0 ts);
+  List.map (fun t -> (t, transient_point ~eps c ~init t)) ts
 
-let transient ?eps c ~init t =
-  match transient_many ?eps c ~init [ t ] with
-  | [ (_, v) ] -> v
-  | _ -> assert false
+let transient ?(eps = 1e-12) c ~init t =
+  check_init c init;
+  note_uniformization ~eps c t;
+  transient_point ~eps c ~init t
 
 let cumulative ?(eps = 1e-12) c ~init t =
   check_init c init;

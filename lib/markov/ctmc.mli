@@ -45,7 +45,8 @@ val transient : ?eps:float -> t -> init:float array -> float -> float array
 
 val transient_many :
   ?eps:float -> t -> init:float array -> float list -> (float * float array) list
-(** Evaluate at several time points (shared setup). *)
+(** Evaluate at several time points, in the given order, with one
+    provenance record for the largest. *)
 
 val cumulative : ?eps:float -> t -> init:float array -> float -> float array
 (** [cumulative c ~init t]: L(t) = integral over (0,t] of the state

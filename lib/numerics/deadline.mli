@@ -8,9 +8,10 @@
     context machinery are exception-safe).
 
     The deadline is domain-local: the evaluation server's worker domains
-    install one per job, and {!Pool.run} re-installs the calling domain's
-    deadline inside every batch task (via {!current} / {!with_current}),
-    so a `--timeout` on the CLI also bounds parallel sweep iterations.
+    install one per job, and every {!Pool} batch re-installs the calling
+    domain's deadline around each chunk (via {!current} /
+    {!with_current}), so a `--timeout` on the CLI also bounds parallel
+    sweep iterations and parallel kernels.
 
     Deadlines nest by tightening: an inner [with_until] can only bring
     the instant closer, never extend the outer budget. *)
@@ -37,8 +38,8 @@ val active : unit -> bool
 (** [true] when a deadline is installed on this domain. *)
 
 val current : unit -> float option
-(** The installed absolute deadline, if any — used by {!Pool.run} to
-    carry the caller's deadline into worker domains. *)
+(** The installed absolute deadline, if any — used by {!Pool} batches
+    to carry the caller's deadline into worker domains. *)
 
 val with_current : float option -> (unit -> 'a) -> 'a
 (** [with_current (Some t) f] is [with_until t f]; [with_current None f]

@@ -22,7 +22,11 @@
    late therefore still finds whole chunks unclaimed.  Which domain ran
    which chunk is recorded per batch ([participation]) so the bench can
    report MEASURED multi-domain execution instead of the configured
-   clamp value.
+   clamp value; a [run] that stays serial is counted too, with all its
+   tasks on the calling domain.  Both are counted under one mutex, once
+   per batch: the only library caller of [run] is the parallel loop
+   evaluator, and the sparse kernels call [run_ranges] only above a
+   cost floor, so batches are coarse.
 
    [run n f] keeps its PR-2 determinism contract exactly:
 
@@ -130,68 +134,25 @@ type participation = {
 
 let part_mutex = Mutex.create ()
 let part_batches = ref 0 (* guarded by part_mutex, like the rest *)
+let part_serial = ref 0
 let part_max_batch = ref 0
 let part_tasks : (int, int) Hashtbl.t = Hashtbl.create 8
-
-(* Serial/nested batches are counted in per-domain counters, NOT under
-   [part_mutex]: nested runs inside worker domains are the common case
-   during sweeps, and a shared mutex here would add a cross-domain
-   serialization point to the very path the stats are meant to measure.
-   Each domain registers its counter record once (under [part_mutex], on
-   first use); [record_serial] afterwards only touches its own atomics,
-   which are uncontended.  [participation]/[reset_participation] merge or
-   clear the registered counters under the mutex. *)
-type serial_counter = {
-  sc_dom : int;
-  sc_batches : int Atomic.t;
-  sc_tasks : int Atomic.t;
-}
-
-let serial_counters : serial_counter list ref = ref [] (* guarded by part_mutex *)
-
-let serial_key : serial_counter Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let c =
-        { sc_dom = (Domain.self () :> int);
-          sc_batches = Atomic.make 0;
-          sc_tasks = Atomic.make 0 }
-      in
-      Mutex.protect part_mutex (fun () ->
-          serial_counters := c :: !serial_counters);
-      c)
 
 let reset_participation () =
   Mutex.protect part_mutex (fun () ->
       part_batches := 0;
+      part_serial := 0;
       part_max_batch := 0;
-      Hashtbl.reset part_tasks;
-      List.iter
-        (fun c ->
-          Atomic.set c.sc_batches 0;
-          Atomic.set c.sc_tasks 0)
-        !serial_counters)
+      Hashtbl.reset part_tasks)
 
 let participation () =
   Mutex.protect part_mutex (fun () ->
-      let merged = Hashtbl.copy part_tasks in
-      let serial = ref 0 in
-      List.iter
-        (fun c ->
-          serial := !serial + Atomic.get c.sc_batches;
-          let t = Atomic.get c.sc_tasks in
-          if t > 0 then
-            Hashtbl.replace merged c.sc_dom
-              ((match Hashtbl.find_opt merged c.sc_dom with
-               | Some x -> x
-               | None -> 0)
-              + t))
-        !serial_counters;
       let tasks =
         List.sort compare
-          (Hashtbl.fold (fun d c acc -> (d, c) :: acc) merged [])
+          (Hashtbl.fold (fun d c acc -> (d, c) :: acc) part_tasks [])
       in
       { batches = !part_batches;
-        serial_batches = !serial;
+        serial_batches = !part_serial;
         distinct_domains = List.length tasks;
         max_batch_domains = !part_max_batch;
         tasks_per_domain = tasks })
@@ -201,9 +162,9 @@ let bump_domain d c =
     ((match Hashtbl.find_opt part_tasks d with Some x -> x | None -> 0) + c)
 
 let record_serial n =
-  let c = Domain.DLS.get serial_key in
-  Atomic.incr c.sc_batches;
-  ignore (Atomic.fetch_and_add c.sc_tasks n)
+  Mutex.protect part_mutex (fun () ->
+      incr part_serial;
+      bump_domain (Domain.self () :> int) n)
 
 (* chunk_domain.(c) = id of the domain that executed chunk c (written
    once, before the release on [remaining]; read by the caller after the

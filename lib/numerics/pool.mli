@@ -83,15 +83,18 @@ val run_ranges : int -> (int -> int -> unit) -> unit
 
 (** {1 Participation statistics}
 
-    The scheduler records which domains actually executed batch tasks —
-    the measurement that distinguishes "4 domains configured" from
-    "1 domain did all the work" (the regression behind
-    [jobs4_effective_domains: 1] in BENCH_sweep.json). *)
+    Every pool batch ({!run} or {!run_ranges}) records which domains
+    actually executed its tasks — the measurement that distinguishes
+    "4 domains configured" from "1 domain did all the work" (the
+    regression behind [jobs4_effective_domains: 1] in BENCH_sweep.json).
+    A {!run} that stays serial counts as one serial batch with all its
+    tasks on the calling domain; a serial {!run_ranges} is not recorded. *)
 
 type participation = {
   batches : int;  (** pool-scheduled batches since the last reset *)
   serial_batches : int;
-      (** batches that ran serially (jobs = 1, nested, or single task) *)
+      (** {!run} calls that ran serially (jobs = 1, inside a pool task,
+          or a single task) *)
   distinct_domains : int;
       (** distinct domains that executed at least one task *)
   max_batch_domains : int;

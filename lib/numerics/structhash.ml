@@ -112,31 +112,17 @@ module Table = struct
        observed by two domains, so no synchronization is needed and no
        cross-domain mutation race can exist.
 
-     - [Shared]: one process-wide table, lock-striped into [nsegments]
-       independently-locked segments keyed by the key's hash.  Only
-       sound for IMMUTABLE cached values (reachability skeletons), but
-       then strictly better for the evaluation server: a skeleton
-       explored while serving one request is a hit for every later
-       request regardless of which worker domain it lands on.  Striping
-       matters once sweep batches really run on several domains: with a
-       single mutex every lookup of every domain serializes on one lock,
-       which measurably flattens the parallel speedup the pool buys. *)
-
-  (* Power of two so segment selection is a mask, not a division. *)
-  let nsegments = 16
-
-  type 'a segment = {
-    seg_mutex : Mutex.t;
-    seg_store : (int * (string, 'a) Hashtbl.t) ref;
-  }
+     - [Shared]: one process-wide table behind one mutex.  Only sound
+       for IMMUTABLE cached values (reachability skeletons), but then
+       strictly better for the evaluation server: a skeleton explored
+       while serving one request is a hit for every later request
+       regardless of which worker domain it lands on.  The lock is held
+       for one hash lookup or insert, never for a compute, and these
+       tables see tens of lookups per program run. *)
 
   type 'a store =
     | Local of (int * (string, 'a) Hashtbl.t) ref Domain.DLS.key
-    | Shared of 'a segment array
-
-  (* [Hashtbl.hash] on the full key string; the table inside the segment
-     re-hashes, but bucketing twice is cheap next to a key comparison. *)
-  let segment_of segs key = segs.(Hashtbl.hash key land (nsegments - 1))
+    | Shared of Mutex.t * (int * (string, 'a) Hashtbl.t) ref
 
   type 'a t = {
     hits : int Atomic.t;
@@ -163,25 +149,21 @@ module Table = struct
 
   let trim_table t =
     match t.store with
-    | Shared segs ->
-        (* drop roughly every other entry in place, one segment at a
-           time; survivors keep serving hits while the working set
-           halves, and lookups on other segments never block *)
-        Array.fold_left
-          (fun dropped seg ->
-            Mutex.protect seg.seg_mutex (fun () ->
-                let tbl = table_of_ref t.epoch seg.seg_store in
-                let keep = ref false in
-                let victims =
-                  Hashtbl.fold
-                    (fun k _ acc ->
-                      keep := not !keep;
-                      if !keep then k :: acc else acc)
-                    tbl []
-                in
-                List.iter (Hashtbl.remove tbl) victims;
-                dropped + List.length victims))
-          0 segs
+    | Shared (m, r) ->
+        (* drop roughly every other entry in place; survivors keep
+           serving hits while the working set halves *)
+        Mutex.protect m (fun () ->
+            let tbl = table_of_ref t.epoch r in
+            let keep = ref false in
+            let victims =
+              Hashtbl.fold
+                (fun k _ acc ->
+                  keep := not !keep;
+                  if !keep then k :: acc else acc)
+                tbl []
+            in
+            List.iter (Hashtbl.remove tbl) victims;
+            List.length victims)
     | Local _ ->
         (* other domains' DLS stores are unreachable from here: bump the
            epoch so each domain drops its whole table on next access *)
@@ -193,10 +175,7 @@ module Table = struct
     let epoch = Atomic.make 0 in
     let store =
       if shared then
-        Shared
-          (Array.init nsegments (fun _ ->
-               { seg_mutex = Mutex.create ();
-                 seg_store = ref (stamp epoch, Hashtbl.create 64) }))
+        Shared (Mutex.create (), ref (stamp epoch, Hashtbl.create 64))
       else
         Local (Domain.DLS.new_key (fun () -> ref (stamp epoch, Hashtbl.create 64)))
     in
@@ -221,11 +200,10 @@ module Table = struct
               let v = compute () in
               Hashtbl.add tbl key v;
               v)
-      | Shared segs -> (
-          let seg = segment_of segs key in
+      | Shared (m, r) -> (
           let found =
-            Mutex.protect seg.seg_mutex (fun () ->
-                Hashtbl.find_opt (table_of_ref t.epoch seg.seg_store) key)
+            Mutex.protect m (fun () ->
+                Hashtbl.find_opt (table_of_ref t.epoch r) key)
           in
           match found with
           | Some v ->
@@ -239,8 +217,8 @@ module Table = struct
                  from identical structure, so last-write-wins is
                  harmless (one redundant solve, never a wrong one). *)
               let v = compute () in
-              Mutex.protect seg.seg_mutex (fun () ->
-                  Hashtbl.replace (table_of_ref t.epoch seg.seg_store) key v);
+              Mutex.protect m (fun () ->
+                  Hashtbl.replace (table_of_ref t.epoch r) key v);
               v)
 
   let find_opt t key =
@@ -249,10 +227,8 @@ module Table = struct
       match t.store with
       | Local slot ->
           Hashtbl.find_opt (table_of_ref t.epoch (Domain.DLS.get slot)) key
-      | Shared segs ->
-          let seg = segment_of segs key in
-          Mutex.protect seg.seg_mutex (fun () ->
-              Hashtbl.find_opt (table_of_ref t.epoch seg.seg_store) key)
+      | Shared (m, r) ->
+          Mutex.protect m (fun () -> Hashtbl.find_opt (table_of_ref t.epoch r) key)
 end
 
 let trim_all () =

@@ -10,10 +10,8 @@
     {!Table}s are domain-local by default: each domain of the parallel
     pool sees its own storage, so cached values containing mutable state
     (BDD managers, solved SRN instances) are never shared across domains.
-    Tables created with [~shared:true] instead keep one store for the
-    whole process, lock-striped into independently-locked segments keyed
-    by the key's hash so concurrent domains only contend when their keys
-    land in the same segment — sound only for immutable cached values,
+    Tables created with [~shared:true] instead keep one mutex-protected
+    store for the whole process — sound only for immutable cached values,
     and what lets the evaluation server's requests warm each other's
     caches regardless of which worker domain serves them.  Hit/miss
     counters and the table registry are synchronized (atomics behind a

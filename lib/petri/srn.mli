@@ -26,10 +26,10 @@ val exrt : t -> (Net.marking -> float) -> float -> float
 (** [srn_exrt]: expected reward rate at time t. *)
 
 val transient_many : t -> float list -> (float * float array) list
-(** Tangible-marking distributions at each requested time, evaluated with
-    the uncached points fanned out over the {!Sharpe_numerics.Pool}
-    (bit-identical to querying the times one by one — the checkpoint
-    ladder's rung values are canonical whatever subset is resident). *)
+(** Tangible-marking distributions at each requested time, one
+    checkpoint-ladder query per time in the given order.  The ladder's
+    rung values are canonical whatever subset is resident, so every
+    result is bit-identical to a fresh instance's single query. *)
 
 val exrt_many : t -> (Net.marking -> float) -> float list -> (float * float) list
 (** [exrt] over a grid of time points via {!transient_many}. *)

@@ -158,14 +158,55 @@ let with_jobs n f =
   Pool.set_jobs ~clamp:false n;
   Fun.protect ~finally:(fun () -> Pool.set_jobs 1) f
 
+(* The rate is a model parameter rather than a [bind] in the loop body,
+   so [Eval.parallel_safe] accepts the loop and it really runs as a pool
+   batch; each iteration solves one transient, which emits one
+   uniformization record. *)
+let param_sweep =
+  {|format 8
+srn m (lam)
+up 2
+dn 0
+end
+fl placedep up lam
+rp ind 1.0
+end
+end
+up fl 1
+dn rp 1
+end
+fl dn 1
+rp up 1
+end
+end
+func nup() #(up)
+loop r, 0.5, 2.5, 0.5
+  expr srn_exrss(m; nup; r)
+  expr srn_exrt(3.0, m; nup; r)
+end
+end
+|}
+
 let test_parallel_output_identical () =
-  fresh_cache ();
-  let serial, f1 = run rate_sweep in
-  let parallel, f2 = with_jobs 4 (fun () -> run rate_sweep) in
+  let diag_run () =
+    fresh_cache ();
+    let (out, failed), records = Diag.capture (fun () -> run param_sweep) in
+    (out, failed, List.map Diag.record_to_json records)
+  in
+  let serial, f1, d1 = diag_run () in
+  Pool.reset_participation ();
+  let parallel, f2, d2 = with_jobs 4 diag_run in
+  let part = Pool.participation () in
   Alcotest.(check int) "no failed statements (serial)" 0 f1;
   Alcotest.(check int) "no failed statements (parallel)" 0 f2;
+  Alcotest.(check bool) "the loop ran as a pool batch" true
+    (part.Pool.batches >= 1);
   Alcotest.(check string) "parallel output identical to serial" serial
-    parallel
+    parallel;
+  Alcotest.(check int) "one uniformization record per iteration" 5
+    (List.length d1);
+  Alcotest.(check (list string)) "parallel diagnostics identical to serial"
+    d1 d2
 
 let test_parallel_loop_var_final_value () =
   let program = "loop i, 1, 10, 1\n  expr i * i\nend\nexpr i + 100" in
@@ -347,11 +388,11 @@ let test_vec_mat_as_transposed_mat_vec () =
   Alcotest.(check (list int64)) "vec_mat == transposed mat_vec bitwise"
     (bits via_vec_mat) (bits via_transpose)
 
-let sharded_tbl = lazy (Structhash.Table.create ~shared:true "test_sharded")
+let shared_tbl = lazy (Structhash.Table.create ~shared:true "test_shared")
 
-let test_sharded_cache_parallel () =
+let test_shared_cache_parallel () =
   fresh_cache ();
-  let tbl = Lazy.force sharded_tbl in
+  let tbl = Lazy.force shared_tbl in
   let results =
     with_jobs 4 (fun () ->
         Pool.run 64 (fun i ->
@@ -371,9 +412,9 @@ let test_sharded_cache_parallel () =
   done
 
 let test_ctmc_parallel_transient_bits () =
-  (* birth-death chain large enough that the ladder and uniformization do
-     real work; parallel fan-out plus forced-parallel SpMV must be
-     bit-identical to the serial evaluation *)
+  (* birth-death chain large enough that uniformization does real work;
+     forced-parallel SpMV must be bit-identical to the serial
+     evaluation *)
   let n = 150 in
   let rates =
     List.concat
@@ -417,21 +458,23 @@ let repairable_net () =
           guard = no_guard; priority = 0;
           inputs = [ (1, one_) ]; outputs = [ (0, one_) ]; inhibitors = [] } ]
 
-let test_srn_transient_many_bits () =
-  (* horizons past the checkpoint-ladder spacing, so the fan-out path
-     reads resident rungs while the serial baseline builds them one
-     query at a time — canonical rungs make both bit-identical *)
-  let ts = [ 50.0; 150.0; 250.0; 350.0 ] in
-  let reward m = float_of_int m.(0) in
-  let s_serial = Srn.solve (repairable_net ()) in
-  let serial = List.map (fun t -> Srn.exrt s_serial reward t) ts in
-  let s_par = Srn.solve (repairable_net ()) in
-  let par = with_jobs 4 (fun () -> Srn.exrt_many s_par reward ts) in
+let test_srn_ladder_order_and_thinning () =
+  (* delta = 256 / (1.02 * 1.8) ~ 139.4 on this net: 20000 lies past
+     129 * delta, so its query keeps only every third rung (stride 3);
+     9950 (rung 71) and 5000 (rung 35) then recompute two gap rungs
+     each from the nearest resident checkpoint.  Descending order with
+     a duplicate: every answer must still be bit-identical to a single
+     query on a fresh instance. *)
+  let ts = [ 20000.0; 9950.0; 5000.0; 5000.0; 350.0; 50.0 ] in
+  let s = Srn.solve (repairable_net ()) in
   List.iter2
-    (fun a (_, b) ->
-      Alcotest.(check int64) "transient reward bit-identical"
-        (Int64.bits_of_float a) (Int64.bits_of_float b))
-    serial par
+    (fun t (t', pi) ->
+      let fresh = Srn.transient_many (Srn.solve (repairable_net ())) [ t ] in
+      Alcotest.(check (float 0.0)) "same time point" t t';
+      Alcotest.(check (list int64)) "transient distribution bit-identical"
+        (bits (snd (List.hd fresh)))
+        (bits pi))
+    ts (Srn.transient_many s ts)
 
 (* --- while-loop fuel -------------------------------------------------- *)
 
@@ -495,11 +538,11 @@ let suite =
       test_par_spmv_bit_identical;
     Alcotest.test_case "vec_mat equals transposed mat_vec bitwise" `Quick
       test_vec_mat_as_transposed_mat_vec;
-    Alcotest.test_case "sharded shared cache under parallel load" `Quick
-      test_sharded_cache_parallel;
+    Alcotest.test_case "shared cache under parallel load" `Quick
+      test_shared_cache_parallel;
     Alcotest.test_case "parallel CTMC transients are bit-identical" `Quick
       test_ctmc_parallel_transient_bits;
-    Alcotest.test_case "SRN transient_many matches serial bitwise" `Quick
-      test_srn_transient_many_bits;
+    Alcotest.test_case "SRN ladder order and thinning are bitwise" `Quick
+      test_srn_ladder_order_and_thinning;
     Alcotest.test_case "while fuel boundary is not an exhaustion" `Quick
       test_while_fuel_exact_boundary ]
